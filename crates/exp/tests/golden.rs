@@ -338,6 +338,16 @@ fn svc_tsv_renders_fixed_width_percentiles_bit_for_bit() {
     assert_eq!(run.sink.text, again.sink.text, "svc tables are bit-identical run to run");
     let tsv2 = again.sink.tsv.iter().find(|f| f.name == "svc").unwrap();
     assert_eq!(tsv.rows, tsv2.rows, "svc TSV is bit-identical run to run");
+
+    // The rows themselves are pinned: any change to the cooperative
+    // schedule the svc cells run under moves this digest.
+    let digest = htm_exp::cache::fnv64(&tsv.rows.join("\n"));
+    assert_eq!(
+        digest,
+        0x5f23_d003_23bb_2ee1,
+        "svc TSV digest {digest:#018x} moved; rows:\n{}",
+        tsv.rows.join("\n")
+    );
 }
 
 #[test]

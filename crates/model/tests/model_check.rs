@@ -104,10 +104,12 @@ fn seeded_early_rot_publish_is_caught() {
 /// while (on conflict-light kernels) actually pruning.
 #[test]
 fn dpor_matches_naive_enumeration() {
-    for (kern, bug) in [
-        (kernel::snapshot(), SeededBug::None),
-        (kernel::chain(), SeededBug::None),
-        (kernel::counter(), SeededBug::SkipReaderDoom),
+    // (kernel, bug, DPOR schedules, naive schedules): the exact counts pin
+    // the controller's schedule space, not just DPOR's soundness.
+    for (kern, bug, dpor_count, naive_count) in [
+        (kernel::snapshot(), SeededBug::None, 18, 213),
+        (kernel::chain(), SeededBug::None, 23, 149),
+        (kernel::counter(), SeededBug::SkipReaderDoom, 11, 55),
     ] {
         let name = kern.name;
         let naive = explore(
@@ -135,6 +137,11 @@ fn dpor_matches_naive_enumeration() {
             "{name}: DPOR must not explore more than naive ({} vs {})",
             dpor.schedules,
             naive.schedules
+        );
+        assert_eq!(
+            (dpor.schedules, naive.schedules),
+            (dpor_count, naive_count),
+            "{name}: (DPOR, naive) schedule counts moved"
         );
     }
 }
