@@ -1,12 +1,10 @@
-//! The cooperative schedule controller.
+//! The DPOR scheduling policy.
 //!
-//! One [`Controller`] drives one execution of a kernel: every worker thread
-//! installs a [`ControllerHooks`] handle as its `htm_core::coop` hook set,
-//! registers, and from then on runs only while it holds the controller's
-//! grant. Exactly one thread runs at a time; at every scheduling point the
-//! pausing thread updates the shared state, picks the next thread (obeying
-//! a forced schedule prefix when the explorer replays or extends a path),
-//! and parks until re-granted.
+//! One controlled execution of a kernel runs its workers under an
+//! `htm_core::coop::Executor` with the [`Controller`] policy: exactly one
+//! thread runs at a time, and at every scheduling point the policy picks
+//! the next thread (obeying a forced schedule prefix when the explorer
+//! replays or extends a path).
 //!
 //! A *step* is everything a thread executes between two of its own pauses.
 //! The controller records, per step, the chosen thread, the candidate set
@@ -20,13 +18,13 @@
 //! completes a step. Scheduling a blocked thread early would only re-run
 //! its spin poll, so excluding it loses no behaviors. When every live
 //! thread is blocked for several consecutive rounds the schedule is a
-//! deadlock; a global step bound catches livelock/starvation.
+//! deadlock; a global step bound catches livelock/starvation. Either verdict
+//! halts the executor, which unwinds every worker.
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
-use htm_core::coop::{CoopHooks, CoopPoint};
+use htm_core::coop::{CoopPoint, Executor, Policy, ThreadState};
 
 /// Line-granular step footprint: line id → whether the step wrote it.
 /// [`htm_core::coop::EPOCH_LINE`] stands in for the hybrid commit epoch.
@@ -40,13 +38,6 @@ pub fn conflicts(a: &Footprint, b: &Footprint) -> bool {
         Some(&w2) => w || w2,
         None => false,
     })
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ThreadState {
-    Ready,
-    Blocked,
-    Done,
 }
 
 /// One scheduling decision: which thread was granted a step, out of which
@@ -90,58 +81,42 @@ impl SchedAbort {
 /// schedule down through the executor's worker-panic recovery.
 pub const ABORT_PANIC_PREFIX: &str = "htm-model schedule abort";
 
-struct SchedState {
-    status: Vec<ThreadState>,
-    registered: u32,
-    /// Thread currently granted the right to run (`None` once all done).
-    current: Option<u32>,
-    /// Previously granted thread (the no-switch default choice).
-    prev: Option<u32>,
+/// The DPOR policy; [`Controller::new`] builds its executor.
+pub struct Controller {
+    max_steps: u64,
+    preemption_bound: Option<u32>,
     forced: Vec<u32>,
+    /// Footprint accumulating for each thread's open step; only that
+    /// thread touches its slot, so the locks are uncontended.
+    fp: Vec<Mutex<Footprint>>,
+}
+
+/// The decision log and bound counters, under the executor's lock.
+pub struct DporState {
     log: Vec<Decision>,
     /// Index into `log` of each thread's open (unfinished) step.
     open: Vec<Option<usize>>,
-    /// Footprint accumulating for each thread's open step.
-    cur_fp: Vec<Footprint>,
     /// Consecutive grant rounds where only blocked threads were runnable.
     blocked_streak: u32,
     preemptions: u32,
     abort: Option<SchedAbort>,
 }
 
-/// Shared scheduler for one controlled execution.
-pub struct Controller {
-    nthreads: u32,
-    max_steps: u64,
-    preemption_bound: Option<u32>,
-    inner: Mutex<SchedState>,
-    cv: Condvar,
+impl DporState {
+    /// Records the verdict and returns the message the workers unwind with.
+    fn halt(&mut self, abort: SchedAbort) -> String {
+        let message = format!("{ABORT_PANIC_PREFIX}: {}", abort.message());
+        self.abort = Some(abort);
+        message
+    }
 }
 
 impl Controller {
     /// `forced` pins the first `forced.len()` grants; past the prefix the
     /// default policy picks (deterministically) the previously running
     /// thread if still runnable, else the lowest-numbered runnable thread.
-    pub fn new(nthreads: u32, forced: Vec<u32>, max_steps: u64) -> Arc<Controller> {
-        Arc::new(Controller {
-            nthreads,
-            max_steps,
-            preemption_bound: None,
-            inner: Mutex::new(SchedState {
-                status: vec![ThreadState::Ready; nthreads as usize],
-                registered: 0,
-                current: None,
-                prev: None,
-                forced,
-                log: Vec::new(),
-                open: vec![None; nthreads as usize],
-                cur_fp: vec![Footprint::new(); nthreads as usize],
-                blocked_streak: 0,
-                preemptions: 0,
-                abort: None,
-            }),
-            cv: Condvar::new(),
-        })
+    pub fn new(nthreads: u32, forced: Vec<u32>, max_steps: u64) -> Arc<Executor<Controller>> {
+        Controller::build(nthreads, forced, max_steps, None)
     }
 
     /// Like [`Controller::new`] but capping preemptive context switches: a
@@ -153,114 +128,82 @@ impl Controller {
         forced: Vec<u32>,
         max_steps: u64,
         bound: u32,
-    ) -> Arc<Controller> {
-        let mut c = Controller::new(nthreads, forced, max_steps);
-        Arc::get_mut(&mut c).expect("fresh controller").preemption_bound = Some(bound);
-        c
+    ) -> Arc<Executor<Controller>> {
+        Controller::build(nthreads, forced, max_steps, Some(bound))
     }
 
-    /// Per-thread hook handle for [`htm_core::coop::install`].
-    pub fn hooks(self: &Arc<Controller>, tid: u32) -> Rc<ControllerHooks> {
-        Rc::new(ControllerHooks { ctrl: Arc::clone(self), tid })
-    }
-
-    /// Registers thread `tid` and parks until the first grant. Every worker
-    /// must call this exactly once, before touching shared state.
-    pub fn register(&self, tid: u32) {
-        let mut s = self.inner.lock().unwrap();
-        s.registered += 1;
-        if s.registered == self.nthreads {
-            self.grant_next(&mut s);
-        }
-        self.wait_for_grant(s, tid);
-    }
-
-    /// RAII completion guard: marks the thread done on drop (normal exit
-    /// *and* unwind), so a panicking worker cannot strand its siblings.
-    pub fn finish_guard(self: &Arc<Controller>, tid: u32) -> FinishGuard {
-        FinishGuard { ctrl: Arc::clone(self), tid }
-    }
-
-    /// Drains the decision log and the abort verdict after the run.
-    pub fn take_result(&self) -> (Vec<Decision>, Option<SchedAbort>) {
-        let mut s = self.inner.lock().unwrap();
-        (std::mem::take(&mut s.log), s.abort.clone())
-    }
-
-    fn pause(&self, tid: u32, point: CoopPoint) {
-        let mut s = self.inner.lock().unwrap();
-        self.close_step(&mut s, tid, Some(point));
-        s.status[tid as usize] = if point == CoopPoint::Blocked {
-            ThreadState::Blocked
-        } else {
-            s.blocked_streak = 0;
-            ThreadState::Ready
+    fn build(
+        nthreads: u32,
+        forced: Vec<u32>,
+        max_steps: u64,
+        preemption_bound: Option<u32>,
+    ) -> Arc<Executor<Controller>> {
+        let n = nthreads as usize;
+        let policy = Controller {
+            max_steps,
+            preemption_bound,
+            forced,
+            fp: (0..n).map(|_| Mutex::new(Footprint::new())).collect(),
         };
-        if s.current == Some(tid) {
-            s.prev = Some(tid);
-            s.current = None;
-            self.grant_next(&mut s);
-        }
-        self.wait_for_grant(s, tid);
+        let state = DporState {
+            log: Vec::new(),
+            open: vec![None; n],
+            blocked_streak: 0,
+            preemptions: 0,
+            abort: None,
+        };
+        Executor::new(nthreads, policy, state)
     }
+
+    fn footprint(&self, tid: u32) -> std::sync::MutexGuard<'_, Footprint> {
+        self.fp[tid as usize].lock().expect("footprint lock poisoned")
+    }
+}
+
+impl Policy for Controller {
+    type State = DporState;
+    /// The decision log and the abort verdict.
+    type Outcome = (Vec<Decision>, Option<SchedAbort>);
 
     fn access(&self, tid: u32, line: u64, write: bool) {
-        let mut s = self.inner.lock().unwrap();
-        let e = s.cur_fp[tid as usize].entry(line).or_insert(false);
-        *e |= write;
+        *self.footprint(tid).entry(line).or_insert(false) |= write;
     }
 
-    fn finish(&self, tid: u32) {
-        let mut s = self.inner.lock().unwrap();
-        self.close_step(&mut s, tid, None);
-        s.status[tid as usize] = ThreadState::Done;
-        s.blocked_streak = 0;
-        if s.current == Some(tid) || s.current.is_none() {
-            s.prev = Some(tid);
-            s.current = None;
-            self.grant_next(&mut s);
-        }
-    }
-
-    fn close_step(&self, s: &mut SchedState, tid: u32, point: Option<CoopPoint>) {
+    fn end_step(&self, s: &mut DporState, tid: u32, point: Option<CoopPoint>) {
+        let fp = std::mem::take(&mut *self.footprint(tid));
+        // Accesses before the first grant (worker preamble) belong to no
+        // step; drop them rather than attributing them to a later one.
         if let Some(i) = s.open[tid as usize].take() {
-            s.log[i].fp = std::mem::take(&mut s.cur_fp[tid as usize]);
+            s.log[i].fp = fp;
             s.log[i].end_point = point;
-        } else {
-            // Accesses before the first grant (worker preamble) belong to no
-            // step; drop them rather than attributing them to a later one.
-            s.cur_fp[tid as usize].clear();
+        }
+        if point != Some(CoopPoint::Blocked) {
+            s.blocked_streak = 0;
         }
     }
 
-    /// Picks and grants the next step. Caller holds the state lock.
-    fn grant_next(&self, s: &mut SchedState) {
-        if s.abort.is_some() {
-            self.cv.notify_all();
-            return;
-        }
-        let ready: Vec<u32> =
-            (0..self.nthreads).filter(|&t| s.status[t as usize] == ThreadState::Ready).collect();
+    fn choose(
+        &self,
+        s: &mut DporState,
+        threads: &[ThreadState],
+        prev: Option<u32>,
+    ) -> Result<u32, String> {
+        let n = threads.len() as u32;
+        let in_state =
+            |want: ThreadState| (0..n).filter(|&t| threads[t as usize] == want).collect::<Vec<_>>();
+        let ready = in_state(ThreadState::Ready);
         let (mut candidates, promoted) = if !ready.is_empty() {
             s.blocked_streak = 0;
             (ready, false)
         } else {
-            let blocked: Vec<u32> = (0..self.nthreads)
-                .filter(|&t| s.status[t as usize] == ThreadState::Blocked)
-                .collect();
-            if blocked.is_empty() {
-                // All threads done.
-                self.cv.notify_all();
-                return;
-            }
+            // No thread is ready and at least one is live: all are blocked.
+            let blocked = in_state(ThreadState::Blocked);
             s.blocked_streak += 1;
-            if s.blocked_streak > 16 * self.nthreads + 16 {
-                s.abort = Some(SchedAbort::Deadlock(format!(
+            if s.blocked_streak > 16 * n + 16 {
+                return Err(s.halt(SchedAbort::Deadlock(format!(
                     "deadlock: threads {blocked:?} stayed blocked through {} probe rounds",
                     s.blocked_streak
-                )));
-                self.cv.notify_all();
-                return;
+                ))));
             }
             // Probe one blocked thread (it will re-check its condition and
             // re-block if nothing changed); the others stay blocked so the
@@ -271,28 +214,18 @@ impl Controller {
         // until it blocks or finishes. Probe rounds are exempt: a probe is
         // not a preemption, and pinning it would starve the other blocked
         // threads of their re-check.
-        if !promoted {
-            if let Some(bound) = self.preemption_bound {
-                if s.preemptions >= bound {
-                    if let Some(p) = s.prev {
-                        if candidates.contains(&p) {
-                            candidates = vec![p];
-                        }
-                    }
-                }
+        if !promoted && self.preemption_bound.is_some_and(|b| s.preemptions >= b) {
+            if let Some(p) = prev.filter(|p| candidates.contains(p)) {
+                candidates = vec![p];
             }
         }
         let pos = s.log.len();
-        let chosen = if pos < s.forced.len() {
-            let t = s.forced[pos];
-            if t >= self.nthreads || s.status[t as usize] == ThreadState::Done {
-                s.abort = Some(SchedAbort::Divergence(format!(
+        let chosen = if let Some(&t) = self.forced.get(pos) {
+            if t >= n || threads[t as usize] == ThreadState::Done {
+                return Err(s.halt(SchedAbort::Divergence(format!(
                     "forced schedule picks thread {t} at step {pos}, but it is not runnable"
-                )));
-                self.cv.notify_all();
-                return;
+                ))));
             }
-            s.status[t as usize] = ThreadState::Ready;
             t
         } else if promoted {
             // Rotate the probe across every blocked thread: one thread's
@@ -302,24 +235,19 @@ impl Controller {
             // fruitlessly. Sticking with `prev` here would probe one
             // thread forever and report phantom deadlocks.
             candidates[(s.blocked_streak - 1) as usize % candidates.len()]
-        } else if let Some(p) = s.prev.filter(|p| candidates.contains(p)) {
+        } else if let Some(p) = prev.filter(|p| candidates.contains(p)) {
             p
         } else {
             candidates[0]
         };
-        s.status[chosen as usize] = ThreadState::Ready;
-        if let Some(p) = s.prev {
-            if chosen != p && s.status[p as usize] == ThreadState::Ready {
-                s.preemptions += 1;
-            }
+        if prev.is_some_and(|p| chosen != p && threads[p as usize] == ThreadState::Ready) {
+            s.preemptions += 1;
         }
-        if s.log.len() as u64 >= self.max_steps {
-            s.abort = Some(SchedAbort::StepBound(format!(
+        if pos as u64 >= self.max_steps {
+            return Err(s.halt(SchedAbort::StepBound(format!(
                 "starvation/livelock: schedule exceeded the {}-step bound",
                 self.max_steps
-            )));
-            self.cv.notify_all();
-            return;
+            ))));
         }
         // Re-enabled blocked threads carry no real branch: record the grant
         // as forced so the explorer does not branch over spin polls.
@@ -331,53 +259,12 @@ impl Controller {
             fp: Footprint::new(),
             end_point: None,
         });
-        s.open[chosen as usize] = Some(s.log.len() - 1);
-        s.current = Some(chosen);
-        self.cv.notify_all();
+        s.open[chosen as usize] = Some(pos);
+        Ok(chosen)
     }
 
-    fn wait_for_grant(&self, mut s: std::sync::MutexGuard<'_, SchedState>, tid: u32) {
-        loop {
-            if let Some(a) = &s.abort {
-                let msg = format!("{ABORT_PANIC_PREFIX}: {}", a.message());
-                drop(s);
-                // Unwind through the engine; the executor's worker-panic
-                // recovery rolls the transaction back and the explorer reads
-                // the structured verdict from the controller.
-                std::panic::panic_any(msg);
-            }
-            if s.current == Some(tid) {
-                return;
-            }
-            s = self.cv.wait(s).unwrap();
-        }
-    }
-}
-
-/// Per-thread coop hook handle (see [`Controller::hooks`]).
-pub struct ControllerHooks {
-    ctrl: Arc<Controller>,
-    tid: u32,
-}
-
-impl CoopHooks for ControllerHooks {
-    fn pause(&self, point: CoopPoint) {
-        self.ctrl.pause(self.tid, point);
-    }
-    fn access(&self, line: u64, write: bool) {
-        self.ctrl.access(self.tid, line, write);
-    }
-}
-
-/// Marks a thread done on drop (see [`Controller::finish_guard`]).
-pub struct FinishGuard {
-    ctrl: Arc<Controller>,
-    tid: u32,
-}
-
-impl Drop for FinishGuard {
-    fn drop(&mut self) {
-        self.ctrl.finish(self.tid);
+    fn outcome(s: &mut DporState) -> Self::Outcome {
+        (std::mem::take(&mut s.log), s.abort.clone())
     }
 }
 
@@ -385,7 +272,7 @@ impl Drop for FinishGuard {
 mod tests {
     use super::*;
 
-    fn run_threads(ctrl: &Arc<Controller>, bodies: Vec<Box<dyn FnOnce() + Send>>) {
+    fn run_threads(ctrl: &Arc<Executor<Controller>>, bodies: Vec<Box<dyn FnOnce() + Send>>) {
         std::thread::scope(|scope| {
             for (tid, body) in bodies.into_iter().enumerate() {
                 let ctrl = Arc::clone(ctrl);

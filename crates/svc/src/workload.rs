@@ -18,6 +18,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use htm_core::coop::Executor;
 use htm_runtime::{Sim, ThreadCtx};
 use stamp::Workload;
 
@@ -43,7 +44,7 @@ pub struct SvcWorkload {
     traffic: Traffic,
     store: OnceLock<Store>,
     threads: AtomicU32,
-    sched: Mutex<Option<Arc<RoundRobin>>>,
+    sched: Mutex<Option<Arc<Executor<RoundRobin>>>>,
 }
 
 impl SvcWorkload {
