@@ -1028,8 +1028,9 @@ mod tests {
         let s = sim(Platform::IntelCore);
         let a = s.alloc().alloc(1);
         let stats = s.run_parallel(4, RetryPolicy::default(), |ctx| {
+            ctx.set_hle(true);
             for _ in 0..500 {
-                ctx.atomic_hle(|tx| {
+                ctx.atomic(|tx| {
                     let v = tx.load(a)?;
                     tx.store(a, v + 1)
                 });

@@ -33,6 +33,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::tx::ExecTier;
+
 /// One aborted hardware attempt inside an atomic block.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct AttemptRecord {
@@ -52,43 +54,35 @@ pub(crate) struct AttemptRecord {
 /// in the global commit order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum BlockOutcome {
-    /// Committed as a hardware transaction.
-    Hw { order: u64 },
-    /// Committed as a zEC12 constrained transaction.
-    Constrained { order: u64 },
-    /// Committed as a software (STM fallback) transaction.
-    Stm { order: u64 },
-    /// Committed as a software-validated rollback-only (ROT tier)
-    /// transaction.
-    Rot { order: u64 },
-    /// Committed as a capacity-stretched (spill tier) POWER8 transaction:
-    /// a hardware commit under the sequence lock whose overflow footprint
-    /// was validated through the software side log.
-    Spilled { order: u64 },
+    /// Committed as a transaction on `tier` (hardware, constrained, STM,
+    /// ROT or capacity-spilled).
+    Committed { tier: ExecTier, order: u64 },
     /// Committed irrevocably under the global lock. `degraded` marks
     /// watchdog-degraded blocks; `trip` marks the block that tripped it.
     Irrevocable { order: u64, degraded: bool, trip: bool },
 }
 
+/// The trace keyword of each tier a block can commit on.
+const TIER_KEYS: [(ExecTier, &str); 5] = [
+    (ExecTier::Hw, "hw"),
+    (ExecTier::Constrained, "cx"),
+    (ExecTier::Stm, "stm"),
+    (ExecTier::Rot, "rot"),
+    (ExecTier::Spill, "sp"),
+];
+
 impl BlockOutcome {
     pub(crate) fn order(&self) -> u64 {
         match *self {
-            BlockOutcome::Hw { order }
-            | BlockOutcome::Constrained { order }
-            | BlockOutcome::Stm { order }
-            | BlockOutcome::Rot { order }
-            | BlockOutcome::Spilled { order }
-            | BlockOutcome::Irrevocable { order, .. } => order,
+            BlockOutcome::Committed { order, .. } | BlockOutcome::Irrevocable { order, .. } => {
+                order
+            }
         }
     }
 
     fn with_order(self, order: u64) -> BlockOutcome {
         match self {
-            BlockOutcome::Hw { .. } => BlockOutcome::Hw { order },
-            BlockOutcome::Constrained { .. } => BlockOutcome::Constrained { order },
-            BlockOutcome::Stm { .. } => BlockOutcome::Stm { order },
-            BlockOutcome::Rot { .. } => BlockOutcome::Rot { order },
-            BlockOutcome::Spilled { .. } => BlockOutcome::Spilled { order },
+            BlockOutcome::Committed { tier, .. } => BlockOutcome::Committed { tier, order },
             BlockOutcome::Irrevocable { degraded, trip, .. } => {
                 BlockOutcome::Irrevocable { order, degraded, trip }
             }
@@ -182,20 +176,10 @@ impl ScheduleTrace {
                     let _ = writeln!(out);
                 }
                 match b.outcome {
-                    BlockOutcome::Hw { order } => {
-                        let _ = writeln!(out, "commit hw {order}");
-                    }
-                    BlockOutcome::Constrained { order } => {
-                        let _ = writeln!(out, "commit cx {order}");
-                    }
-                    BlockOutcome::Stm { order } => {
-                        let _ = writeln!(out, "commit stm {order}");
-                    }
-                    BlockOutcome::Rot { order } => {
-                        let _ = writeln!(out, "commit rot {order}");
-                    }
-                    BlockOutcome::Spilled { order } => {
-                        let _ = writeln!(out, "commit sp {order}");
+                    BlockOutcome::Committed { tier, order } => {
+                        let key = TIER_KEYS.iter().find(|(t, _)| *t == tier).map(|(_, k)| *k);
+                        let key = key.expect("block committed on a recordable tier");
+                        let _ = writeln!(out, "commit {key} {order}");
                     }
                     BlockOutcome::Irrevocable { order, degraded, trip } => {
                         let _ =
@@ -259,24 +243,12 @@ impl ScheduleTrace {
                 ["commit", kind, args @ ..] => {
                     let blocks =
                         cur_blocks.as_mut().ok_or_else(|| bad(n, "commit outside a thread"))?;
-                    let outcome = match (*kind, args) {
-                        ("hw", [o]) => {
-                            BlockOutcome::Hw { order: o.parse().map_err(|_| bad(n, "bad order"))? }
-                        }
-                        ("cx", [o]) => BlockOutcome::Constrained {
-                            order: o.parse().map_err(|_| bad(n, "bad order"))?,
-                        },
-                        ("stm", [o]) => {
-                            BlockOutcome::Stm { order: o.parse().map_err(|_| bad(n, "bad order"))? }
-                        }
-                        ("rot", [o]) => {
-                            BlockOutcome::Rot { order: o.parse().map_err(|_| bad(n, "bad order"))? }
-                        }
-                        ("sp", [o]) => BlockOutcome::Spilled {
-                            order: o.parse().map_err(|_| bad(n, "bad order"))?,
-                        },
-                        ("irr", [o, d, t]) => BlockOutcome::Irrevocable {
-                            order: o.parse().map_err(|_| bad(n, "bad order"))?,
+                    let order = |o: &str| o.parse().map_err(|_| bad(n, "bad order"));
+                    let tier = TIER_KEYS.iter().find(|(_, k)| k == kind).map(|(t, _)| *t);
+                    let outcome = match (tier, *kind, args) {
+                        (Some(tier), _, [o]) => BlockOutcome::Committed { tier, order: order(o)? },
+                        (None, "irr", [o, d, t]) => BlockOutcome::Irrevocable {
+                            order: order(o)?,
                             degraded: *d == "1",
                             trip: *t == "1",
                         },
@@ -390,7 +362,7 @@ mod tests {
                             draws: 3,
                             allocs: vec![4, 16],
                         }],
-                        outcome: BlockOutcome::Hw { order: 10 },
+                        outcome: BlockOutcome::Committed { tier: ExecTier::Hw, order: 10 },
                     },
                     BlockRecord {
                         attempts: vec![],
@@ -404,11 +376,20 @@ mod tests {
                 vec![
                     BlockRecord {
                         attempts: vec![],
-                        outcome: BlockOutcome::Constrained { order: 12 },
+                        outcome: BlockOutcome::Committed { tier: ExecTier::Constrained, order: 12 },
                     },
-                    BlockRecord { attempts: vec![], outcome: BlockOutcome::Stm { order: 14 } },
-                    BlockRecord { attempts: vec![], outcome: BlockOutcome::Rot { order: 15 } },
-                    BlockRecord { attempts: vec![], outcome: BlockOutcome::Spilled { order: 16 } },
+                    BlockRecord {
+                        attempts: vec![],
+                        outcome: BlockOutcome::Committed { tier: ExecTier::Stm, order: 14 },
+                    },
+                    BlockRecord {
+                        attempts: vec![],
+                        outcome: BlockOutcome::Committed { tier: ExecTier::Rot, order: 15 },
+                    },
+                    BlockRecord {
+                        attempts: vec![],
+                        outcome: BlockOutcome::Committed { tier: ExecTier::Spill, order: 16 },
+                    },
                 ],
             ],
         )
