@@ -330,9 +330,12 @@ macro_rules! __proptest_impl {
                         __case,
                     );
                     $( let $arg = $crate::strategy::Strategy::generate(&($strat), &mut __rng); )*
-                    let __result: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
-                        (|| { $body ::std::result::Result::Ok(()) })();
-                    if let ::std::result::Result::Err(__e) = __result {
+                    // A closure gives `?` and `prop_assert!` in the body a
+                    // function to return from.
+                    let __run = || -> ::std::result::Result<(), $crate::test_runner::TestCaseError> {
+                        $body ::std::result::Result::Ok(())
+                    };
+                    if let ::std::result::Result::Err(__e) = __run() {
                         panic!(
                             "proptest '{}' failed at case {}: {}",
                             stringify!($name),
