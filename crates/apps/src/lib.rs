@@ -10,7 +10,8 @@
 //!   kernels, Figures 8 and 9.
 //!
 //! (The Intel HLE comparison of Figure 7 needs no extra application code:
-//! it runs the STAMP suite through `ThreadCtx::atomic_hle`.)
+//! it runs the STAMP suite through `ThreadCtx::atomic` after
+//! `ThreadCtx::set_hle(true)`.)
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -57,8 +57,9 @@ pub struct FaultPlan {
     /// Free speculation IDs permanently removed from the pool at simulation
     /// build time (at least one always remains, so progress is preserved).
     pub spec_id_drain: u32,
-    /// Extra simulated cycles an irrevocable section holds the global lock
-    /// after its body finishes (delayed-release convoys).
+    /// Extra simulated cycles an irrevocable section or an STM commit holds
+    /// the global lock after it finishes (delayed-release convoys). ROT and
+    /// spill commits release the lock without the delay.
     pub lock_release_delay: u64,
 }
 
@@ -144,7 +145,8 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the delayed global-lock-release cycles.
+    /// Sets the delayed global-lock-release cycles (irrevocable sections
+    /// and STM commits).
     pub fn lock_release_delay(mut self, cycles: u64) -> FaultPlan {
         self.lock_release_delay = cycles;
         self
