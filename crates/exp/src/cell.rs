@@ -587,8 +587,8 @@ impl CellKind {
             }
             CellKind::Hle(c) => {
                 let machine = machine_for(Platform::IntelCore, c.bench);
-                let params = c.params(0, false);
-                let r = stamp::hle::run_bench_hle(c.bench, &machine, &params);
+                let params = BenchParams { use_hle: true, ..c.params(0, false) };
+                let r = stamp::run_bench(c.bench, Variant::Modified, &machine, &params);
                 let mut out = CellResult::new();
                 out.put("speedup", r.speedup());
                 out.put("abort_ratio", r.abort_ratio());
@@ -803,14 +803,16 @@ fn lint_cell(
     let policy = tuned_policy(platform, bench);
     let make = stamp::workload_factory(bench, variant, &machine, scale, seed);
 
-    let stats = stamp::run_sanitized_with(&|| make(), &machine, threads, policy, seed, fallback);
+    let params =
+        BenchParams { threads, policy, seed, sanitize: true, fallback, ..Default::default() };
+    let stats = stamp::run_parallel(&*make, &machine, &params);
 
     let kind = machine.tracker;
     let line_bytes = kind.line_bytes();
     // One traced run records both granularities: the conflict line size
     // (capacity prediction) and 8-byte words (false-sharing check — blocks
     // whose words never overlap cannot truly conflict).
-    let tracer = stamp::trace_line_sets(&|| make(), &machine, &[line_bytes, 8], seed);
+    let tracer = stamp::trace_line_sets(&*make, &machine, &[line_bytes, 8], seed);
     let blocks = tracer.line_sets(0).to_vec();
     let word_blocks = tracer.line_sets(1).to_vec();
     // Threads share a tracking structure once they outnumber cores; the

@@ -4,8 +4,8 @@
 //! × retry policies (Figures 2–11, Table 1) — and this crate runs that grid
 //! as *one system* instead of twenty hand-rolled binaries:
 //!
-//! * [`spec`] — an [`ExperimentSpec`](spec::ExperimentSpec) declares a
-//!   figure/table as a list of independent [`CellSpec`](cell::CellSpec)s
+//! * [`spec`] — an [`ExperimentSpec`] declares a
+//!   figure/table as a list of independent [`CellSpec`]s
 //!   plus a render function that turns cell results into the legacy tables
 //!   and TSV, bit for bit.
 //! * [`cell`] — the cell vocabulary: STAMP measurement cells, footprint
@@ -51,6 +51,6 @@ pub use args::{parse_sessions, parse_skew_permille};
 pub use cache::{Load, ResultCache};
 pub use cell::{CellKind, CellResult, CellSpec, MachineTweak, StampCell, SvcCell, SvcMode};
 pub use engine::{run_spec, EngineReport, FabricReport, SpecRun};
-pub use grid::{bgq_mode_for, geomean, machine_for, run_cell, tuned_policy, Cell};
+pub use grid::{bgq_mode_for, geomean, machine_for, tuned_policy, Cell};
 pub use sink::{render_table_string, save_tsv, Sink};
 pub use spec::{ExperimentSpec, ResultSet, RunOpts};

@@ -70,7 +70,8 @@ pub(crate) fn grid_id(
 }
 
 /// A tuned-policy grid cell honoring the run options (`--reps`,
-/// `--certify`), exactly the legacy `run_cell`.
+/// `--certify`), exactly the legacy `htm_bench::run_cell` (kept as
+/// `legacy_run_cell` in the golden tests).
 pub(crate) fn grid_cell(
     opts: &RunOpts,
     bench: BenchId,

@@ -231,10 +231,24 @@ impl PhaseBarrier {
     }
 }
 
-fn sim_config(w: &dyn Workload, machine: &MachineConfig, seed: u64) -> SimConfig {
+/// Builds `make()`'s workload on a fresh simulation (its configuration
+/// refined by `adjust`), runs the workload's setup and sizes it for
+/// `threads` workers. Every driver below starts here.
+fn build<W: Workload>(
+    make: &dyn Fn() -> W,
+    machine: &MachineConfig,
+    seed: u64,
+    threads: u32,
+    adjust: impl FnOnce(SimConfig) -> SimConfig,
+) -> (W, Sim) {
+    let w = make();
     // Floor of 1 M words (8 MiB): per-thread allocator chunks and retry
     // churn need headroom beyond the workload's own estimate.
-    SimConfig::new(machine.clone()).mem_words(w.mem_words().max(1 << 20)).seed(seed)
+    let cfg = SimConfig::new(machine.clone()).mem_words(w.mem_words().max(1 << 20)).seed(seed);
+    let sim = Sim::new(adjust(cfg));
+    w.setup(&sim);
+    w.prepare(threads);
+    (w, sim)
 }
 
 /// Runs `make()`'s workload once sequentially; returns its cycles.
@@ -243,118 +257,49 @@ pub fn run_sequential<W: Workload>(
     machine: &MachineConfig,
     seed: u64,
 ) -> u64 {
-    let w = make();
-    let sim = Sim::new(sim_config(&w, machine, seed));
-    w.setup(&sim);
-    w.prepare(1);
+    let (w, sim) = build(make, machine, seed, 1, |c| c);
     let cycles = sim.run_sequential(|ctx| w.work(ctx));
     w.verify(&sim);
     cycles
 }
 
-/// Runs `make()`'s workload once with `threads` workers.
+/// Runs `make()`'s workload once with `params.threads` workers under every
+/// run option of `params`: retry policy, fault plan, certifier, race
+/// sanitizer (its report lands in the returned stats' `race` and is not
+/// asserted here), fallback tier and HLE. `params.scale` is not read:
+/// `make` already fixes the inputs.
+///
+/// # Panics
+///
+/// Panics on workload corruption, on certifier violations when
+/// `params.certify` is set, and when `params.use_hle` is set on a machine
+/// without hardware lock elision.
 pub fn run_parallel<W: Workload>(
     make: &dyn Fn() -> W,
     machine: &MachineConfig,
-    threads: u32,
-    policy: RetryPolicy,
-    seed: u64,
+    params: &BenchParams,
 ) -> RunStats {
-    run_parallel_opt(make, machine, threads, policy, seed, false)
+    parallel(make, machine, params).2
 }
 
-/// Like [`run_parallel`], optionally routing atomic blocks through HLE.
-pub fn run_parallel_opt<W: Workload>(
+/// [`run_parallel`], keeping the workload and simulation for inspection.
+fn parallel<W: Workload>(
     make: &dyn Fn() -> W,
     machine: &MachineConfig,
-    threads: u32,
-    policy: RetryPolicy,
-    seed: u64,
-    use_hle: bool,
-) -> RunStats {
-    run_parallel_inner(
-        make,
-        machine,
-        threads,
-        policy,
-        seed,
-        use_hle,
-        FaultPlan::none(),
-        false,
-        false,
-        FallbackPolicy::Lock,
-    )
-}
-
-/// Runs `make()`'s workload once with `threads` workers under the
-/// happens-before race sanitizer; the report is in the returned stats'
-/// [`RunStats::race`] (no assertion here — callers decide severity).
-pub fn run_sanitized<W: Workload>(
-    make: &dyn Fn() -> W,
-    machine: &MachineConfig,
-    threads: u32,
-    policy: RetryPolicy,
-    seed: u64,
-) -> RunStats {
-    run_sanitized_with(make, machine, threads, policy, seed, FallbackPolicy::Lock)
-}
-
-/// Like [`run_sanitized`], with an explicit fallback policy — the HyTM
-/// lint/race gate runs each benchmark under every fallback tier.
-pub fn run_sanitized_with<W: Workload>(
-    make: &dyn Fn() -> W,
-    machine: &MachineConfig,
-    threads: u32,
-    policy: RetryPolicy,
-    seed: u64,
-    fallback: FallbackPolicy,
-) -> RunStats {
-    run_parallel_inner(
-        make,
-        machine,
-        threads,
-        policy,
-        seed,
-        false,
-        FaultPlan::none(),
-        false,
-        true,
-        fallback,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_parallel_inner<W: Workload>(
-    make: &dyn Fn() -> W,
-    machine: &MachineConfig,
-    threads: u32,
-    policy: RetryPolicy,
-    seed: u64,
-    use_hle: bool,
-    faults: FaultPlan,
-    certify: bool,
-    sanitize: bool,
-    fallback: FallbackPolicy,
-) -> RunStats {
-    let w = make();
-    let sim = Sim::new(
-        sim_config(&w, machine, seed)
-            .faults(faults)
-            .certify(certify)
-            .sanitize(sanitize)
-            .fallback(fallback),
-    );
-    w.setup(&sim);
-    w.prepare(threads);
-    let stats = sim.run_parallel(threads, policy, |ctx| {
-        ctx.set_hle(use_hle);
+    p: &BenchParams,
+) -> (W, Sim, RunStats) {
+    let (w, sim) = build(make, machine, p.seed, p.threads, |c| {
+        c.faults(p.faults).certify(p.certify).sanitize(p.sanitize).fallback(p.fallback)
+    });
+    let stats = sim.run_parallel(p.threads, p.policy, |ctx| {
+        ctx.set_hle(p.use_hle);
         w.work(ctx)
     });
     w.verify(&sim);
     if let Some(report) = &stats.certify {
         assert!(report.ok(), "{}: certifier found violations:\n{report}", w.name());
     }
-    stats
+    (w, sim, stats)
 }
 
 /// Full measurement of one cell: sequential baseline + parallel run.
@@ -364,27 +309,19 @@ pub fn measure<W: Workload>(
     params: &BenchParams,
 ) -> BenchResult {
     let seq_cycles = run_sequential(make, machine, params.seed);
-    let stats = run_parallel_inner(
-        make,
-        machine,
-        params.threads,
-        params.policy,
-        params.seed,
-        params.use_hle,
-        params.faults,
-        params.certify,
-        params.sanitize,
-        params.fallback,
-    );
-    BenchResult { seq_cycles, stats }
+    BenchResult { seq_cycles, stats: run_parallel(make, machine, params) }
 }
 
 /// Differential oracle for one cell: runs the workload sequentially (the
-/// reference), then in parallel with the correctness certifier enabled;
-/// both runs pass the workload's own `verify`, the parallel schedule must
-/// be conflict-serializable, and — when the workload defines a
-/// schedule-independent [`Workload::result_digest`] — the two results must
-/// hash identically. Returns the certified parallel statistics.
+/// reference), then in parallel as [`run_parallel`] does with the
+/// correctness certifier forced on; both runs pass the workload's own
+/// `verify`, the parallel schedule must be conflict-serializable, and —
+/// when the workload defines a schedule-independent
+/// [`Workload::result_digest`] — the two results must hash identically.
+/// The parallel run commits through `params.fallback` while the reference
+/// stays tier-free, so digest equality across fallback policies is exactly
+/// the hybrid-TM differential oracle. Returns the certified parallel
+/// statistics.
 ///
 /// # Panics
 ///
@@ -393,55 +330,36 @@ pub fn measure<W: Workload>(
 pub fn run_oracle<W: Workload>(
     make: &dyn Fn() -> W,
     machine: &MachineConfig,
-    threads: u32,
-    policy: RetryPolicy,
-    seed: u64,
-    faults: FaultPlan,
+    params: &BenchParams,
 ) -> RunStats {
-    run_oracle_with(make, machine, threads, policy, seed, faults, FallbackPolicy::Lock)
-}
-
-/// Like [`run_oracle`], with an explicit fallback policy: the parallel run
-/// commits through the chosen tier (global lock, NOrec STM or POWER8 ROT)
-/// while the sequential reference stays tier-free, so digest equality
-/// across fallback policies is exactly the hybrid-TM differential oracle.
-///
-/// # Panics
-///
-/// Same failure modes as [`run_oracle`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_oracle_with<W: Workload>(
-    make: &dyn Fn() -> W,
-    machine: &MachineConfig,
-    threads: u32,
-    policy: RetryPolicy,
-    seed: u64,
-    faults: FaultPlan,
-    fallback: FallbackPolicy,
-) -> RunStats {
-    // Sequential reference (never fault-injected: it defines correctness).
-    let w = make();
-    let sim = Sim::new(sim_config(&w, machine, seed));
-    w.setup(&sim);
-    w.prepare(1);
+    // Sequential reference: no faults and no certifier, since it defines
+    // correctness.
+    let (w, sim) = build(make, machine, params.seed, 1, |c| c);
     sim.run_sequential(|ctx| w.work(ctx));
     w.verify(&sim);
     let seq_digest = w.result_digest(&sim);
 
-    // Certified parallel run on a fresh, identically-seeded simulation.
-    let w = make();
-    let sim =
-        Sim::new(sim_config(&w, machine, seed).faults(faults).certify(true).fallback(fallback));
-    w.setup(&sim);
-    w.prepare(threads);
-    let stats = sim.run_parallel(threads, policy, |ctx| w.work(ctx));
-    w.verify(&sim);
-    let report = stats.certify.as_ref().expect("certifier was enabled");
-    assert!(report.ok(), "{}: certifier found violations:\n{report}", w.name());
+    let (w, sim, stats) = parallel(make, machine, &BenchParams { certify: true, ..*params });
     if let (Some(s), Some(p)) = (seq_digest, w.result_digest(&sim)) {
         assert_eq!(s, p, "{}: sequential and parallel result digests differ", w.name());
     }
     stats
+}
+
+/// Runs the workload sequentially on the traced context `ctx_of` creates
+/// and returns its tracer.
+fn trace<W: Workload>(
+    make: &dyn Fn() -> W,
+    machine: &MachineConfig,
+    seed: u64,
+    ctx_of: impl FnOnce(&Sim) -> ThreadCtx,
+) -> SeqTracer {
+    let (w, sim) = build(make, machine, seed, 1, |c| c);
+    let mut ctx = ctx_of(&sim);
+    w.work(&mut ctx);
+    let tracer = sim.take_tracer(&mut ctx);
+    w.verify(&sim);
+    tracer
 }
 
 /// Runs the workload sequentially under the footprint tracer, recording
@@ -452,15 +370,7 @@ pub fn trace_footprints<W: Workload>(
     granularities: &[u32],
     seed: u64,
 ) -> SeqTracer {
-    let w = make();
-    let sim = Sim::new(sim_config(&w, machine, seed));
-    w.setup(&sim);
-    w.prepare(1);
-    let mut ctx = sim.seq_ctx_traced(granularities);
-    w.work(&mut ctx);
-    let tracer = sim.take_tracer(&mut ctx);
-    w.verify(&sim);
-    tracer
+    trace(make, machine, seed, |sim| sim.seq_ctx_traced(granularities))
 }
 
 /// Like [`trace_footprints`], but also keeps each block's distinct line
@@ -472,15 +382,7 @@ pub fn trace_line_sets<W: Workload>(
     granularities: &[u32],
     seed: u64,
 ) -> SeqTracer {
-    let w = make();
-    let sim = Sim::new(sim_config(&w, machine, seed));
-    w.setup(&sim);
-    w.prepare(1);
-    let mut ctx = sim.seq_ctx_traced_sets(granularities);
-    w.work(&mut ctx);
-    let tracer = sim.take_tracer(&mut ctx);
-    w.verify(&sim);
-    tracer
+    trace(make, machine, seed, |sim| sim.seq_ctx_traced_sets(granularities))
 }
 
 /// Deterministically splits `0..total` into `num_threads` contiguous chunks

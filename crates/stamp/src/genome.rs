@@ -389,7 +389,7 @@ impl Workload for Genome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{measure, BenchParams};
+    use crate::common::{measure, run_parallel, BenchParams};
 
     #[test]
     fn packing_helpers() {
@@ -422,12 +422,10 @@ mod tests {
     fn original_chunking_overflows_power8_more() {
         let p = Platform::Power8.config();
         let run = |variant| {
-            crate::common::run_parallel(
+            run_parallel(
                 &|| Genome::new(GenomeConfig::at(Scale::Tiny, variant), 21),
                 &p,
-                4,
-                htm_runtime::RetryPolicy::default(),
-                21,
+                &BenchParams { threads: 4, seed: 21, ..Default::default() },
             )
         };
         let orig = run(GenomeVariant::Original);

@@ -316,7 +316,7 @@ impl Workload for Intruder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{measure, BenchParams};
+    use crate::common::{measure, run_parallel, BenchParams};
     use htm_machine::Platform;
 
     #[test]
@@ -337,7 +337,7 @@ mod tests {
     fn fragment_list_walk_costs_more_capacity_on_power8() {
         let p = Platform::Power8.config();
         let run = |variant| {
-            crate::common::run_parallel(
+            run_parallel(
                 &|| {
                     Intruder::new(
                         IntruderConfig {
@@ -349,9 +349,7 @@ mod tests {
                     )
                 },
                 &p,
-                4,
-                htm_runtime::RetryPolicy::default(),
-                33,
+                &BenchParams { threads: 4, seed: 33, ..Default::default() },
             )
         };
         let orig = run(IntruderVariant::Original);

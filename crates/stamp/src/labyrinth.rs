@@ -280,7 +280,7 @@ impl Workload for Labyrinth {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{measure, BenchParams};
+    use crate::common::{measure, run_parallel, BenchParams};
     use htm_machine::Platform;
 
     #[test]
@@ -301,12 +301,10 @@ mod tests {
         // the 64-entry TMCAM: every hardware attempt capacity-aborts and
         // routing serializes on the lock.
         let cfg = LabyrinthConfig { x: 24, y: 24, z: 2, n_requests: 6, wall_pct: 5 };
-        let stats = crate::common::run_parallel(
+        let stats = run_parallel(
             &|| Labyrinth::new(cfg, 17),
             &Platform::Power8.config(),
-            2,
-            htm_runtime::RetryPolicy::default(),
-            17,
+            &BenchParams { threads: 2, seed: 17, ..Default::default() },
         );
         assert!(
             stats.irrevocable_commits() > 0,

@@ -371,7 +371,7 @@ impl Vacation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{measure, BenchParams};
+    use crate::common::{measure, run_parallel, BenchParams};
     use htm_machine::Platform;
 
     #[test]
@@ -404,7 +404,7 @@ mod tests {
         // far more often than hash tables.
         let p = Platform::Power8.config();
         let run = |variant| {
-            crate::common::run_parallel(
+            run_parallel(
                 &|| {
                     Vacation::new(
                         VacationConfig {
@@ -417,9 +417,7 @@ mod tests {
                     )
                 },
                 &p,
-                4,
-                htm_runtime::RetryPolicy::default(),
-                13,
+                &BenchParams { threads: 4, seed: 13, ..Default::default() },
             )
         };
         let orig = run(VacationVariant::Original);

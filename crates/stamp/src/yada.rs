@@ -318,7 +318,7 @@ impl Workload for Yada {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{measure, BenchParams};
+    use crate::common::{measure, run_parallel, BenchParams};
     use htm_machine::Platform;
 
     #[test]
@@ -346,12 +346,10 @@ mod tests {
             max_refinements: 300,
         };
         let run = |machine: htm_machine::MachineConfig| {
-            crate::common::run_parallel(
+            run_parallel(
                 &|| Yada::new(cfg, 29),
                 &machine,
-                2,
-                htm_runtime::RetryPolicy::default(),
-                29,
+                &BenchParams { threads: 2, seed: 29, ..Default::default() },
             )
         };
         let p8 = run(Platform::Power8.config());

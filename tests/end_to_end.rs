@@ -38,11 +38,8 @@ fn four_thread_runs_on_full_suite_zec12() {
 #[test]
 fn hle_runs_the_suite_on_intel() {
     for bench in [BenchId::KmeansLow, BenchId::VacationHigh, BenchId::Ssca2] {
-        let r = htm_compare::stamp::hle::run_bench_hle(
-            bench,
-            &Platform::IntelCore.config(),
-            &tiny_params(4),
-        );
+        let params = BenchParams { use_hle: true, ..tiny_params(4) };
+        let r = run_bench(bench, Variant::Modified, &Platform::IntelCore.config(), &params);
         assert!(r.stats.committed_blocks() > 0, "{bench} under HLE");
     }
 }
@@ -50,11 +47,8 @@ fn hle_runs_the_suite_on_intel() {
 #[test]
 #[should_panic(expected = "no hardware lock elision")]
 fn hle_rejected_on_power8() {
-    let _ = htm_compare::stamp::hle::run_bench_hle(
-        BenchId::Ssca2,
-        &Platform::Power8.config(),
-        &tiny_params(2),
-    );
+    let params = BenchParams { use_hle: true, ..tiny_params(2) };
+    let _ = run_bench(BenchId::Ssca2, Variant::Modified, &Platform::Power8.config(), &params);
 }
 
 #[test]
