@@ -25,6 +25,16 @@ use crate::stats::{RunStats, ThreadStats};
 use crate::trace::SeqTracer;
 use crate::tx::{ExecMode, TxnEngine};
 
+/// Parallel hardware-mode workers yield the OS thread every this many
+/// *simulated cycles*. Hardware threads progress simultaneously; on hosts
+/// with fewer cores than workers, OS threads only interleave at preemption
+/// quanta — far coarser than a transaction — so without forced yields
+/// transactions would almost never overlap and conflict statistics would
+/// collapse. Pacing by simulated cycles makes each worker's real-time
+/// presence proportional to its simulated duration, so conflict exposure
+/// tracks the cost model.
+const YIELD_INTERVAL: u32 = 160;
+
 /// Configuration of one simulation instance.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -36,17 +46,6 @@ pub struct SimConfig {
     pub conflict_policy: ConflictPolicy,
     /// Base seed for the per-thread deterministic RNGs.
     pub seed: u64,
-    /// Record per-transaction footprints in run statistics (costs memory).
-    pub trace_footprints: bool,
-    /// Yield the OS thread every this many *simulated cycles* (0 = never).
-    /// Hardware threads progress simultaneously; on hosts with fewer cores
-    /// than workers, OS threads only interleave at preemption quanta — far
-    /// coarser than a transaction — so without forced yields transactions
-    /// would almost never overlap and conflict statistics would collapse.
-    /// Pacing by simulated cycles makes each worker's real-time presence
-    /// proportional to its simulated duration, so conflict exposure tracks
-    /// the cost model.
-    pub yield_interval: u32,
     /// Deterministic fault-injection plan (empty by default: injects
     /// nothing, costs nothing, leaves runs bit-identical).
     pub faults: FaultPlan,
@@ -85,8 +84,6 @@ impl SimConfig {
             mem_words: 1 << 22,
             conflict_policy: ConflictPolicy::RequesterWins,
             seed: 0x5EED_0001,
-            trace_footprints: false,
-            yield_interval: 160,
             faults: FaultPlan::none(),
             watchdog: WatchdogConfig::default(),
             fallback: FallbackPolicy::Lock,
@@ -111,18 +108,6 @@ impl SimConfig {
     /// Sets the conflict-resolution policy.
     pub fn conflict_policy(mut self, p: ConflictPolicy) -> SimConfig {
         self.conflict_policy = p;
-        self
-    }
-
-    /// Enables footprint tracing in worker statistics.
-    pub fn trace_footprints(mut self, on: bool) -> SimConfig {
-        self.trace_footprints = on;
-        self
-    }
-
-    /// Sets the forced-yield interval (see [`SimConfig::yield_interval`]).
-    pub fn yield_interval(mut self, every_accesses: u32) -> SimConfig {
-        self.yield_interval = every_accesses;
         self
     }
 
@@ -298,8 +283,7 @@ impl Sim {
             mode,
             self.cfg.conflict_policy,
             self.cfg.seed,
-            self.cfg.trace_footprints,
-            if mode == ExecMode::Hardware && num_threads > 1 { self.cfg.yield_interval } else { 0 },
+            if mode == ExecMode::Hardware && num_threads > 1 { YIELD_INTERVAL } else { 0 },
             faults,
         );
         ThreadCtx::new(
@@ -999,28 +983,6 @@ mod tests {
         // 16 words = 128 bytes: 2 lines at 64 B, 1 line at 256 B.
         assert_eq!(tracer.samples(0).last(), Some(&(2, 2)));
         assert_eq!(tracer.samples(1).last(), Some(&(1, 1)));
-    }
-
-    #[test]
-    fn footprint_stats_record_committed_sizes() {
-        let s = Sim::new(
-            SimConfig::new(Platform::IntelCore.config()).mem_words(1 << 18).trace_footprints(true),
-        );
-        // Leave a gap after the lock line so the stride prefetcher cannot
-        // pull an extra line into the monitored set.
-        let _gap = s.alloc().alloc_aligned(64, 64);
-        let a = s.alloc().alloc_aligned(32, 64);
-        let stats = s.run_parallel(1, RetryPolicy::default(), |ctx| {
-            ctx.atomic(|tx| {
-                let v = tx.load(a)?;
-                tx.store(a, v + 1)
-            });
-        });
-        let fps: Vec<_> = stats.footprints().collect();
-        assert_eq!(fps.len(), 1);
-        // Lock subscription adds one read line beside the data line.
-        assert_eq!(fps[0].1, 1, "one store line");
-        assert_eq!(fps[0].0, 2, "data line + lock line");
     }
 
     #[test]

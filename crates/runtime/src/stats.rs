@@ -9,9 +9,10 @@
 //!   all transactions excluding irrevocable ones, broken down into the four
 //!   categories of Figure 3,
 //! * **serialization ratio** — irrevocable (global-lock) commits as a
-//!   percentage of all committed transactions (Section 5.1),
-//! * **transaction footprints** — distinct load/store lines per committed
-//!   transaction, for the Figure 10/11 scatter plots.
+//!   percentage of all committed transactions (Section 5.1).
+//!
+//! The Figure 10/11 transaction footprints come from sequential traced runs
+//! ([`SeqTracer`](crate::SeqTracer)), not from these statistics.
 
 use htm_core::{AbortCategory, CertifyReport, ConflictEvent, OpacityReport, RaceReport};
 
@@ -188,9 +189,6 @@ pub struct ThreadStats {
     pub degraded_commits: u64,
     /// Simulated cycles spent executing in degraded mode.
     pub degraded_cycles: u64,
-    /// Footprints (distinct load lines, distinct store lines) of committed
-    /// transactions, recorded only when tracing is enabled.
-    pub footprints: Vec<(u32, u32)>,
     /// Conflict aborts attributed to their aggressor thread and line,
     /// recorded only under [`SimConfig::sanitize`](crate::SimConfig).
     pub conflicts: Vec<ConflictEvent>,
@@ -212,8 +210,8 @@ impl ThreadStats {
     }
 
     /// Folds `other` into `self` as if this thread had executed both runs
-    /// back to back: counters sum, clocks add, and recorded footprints and
-    /// conflict events concatenate.
+    /// back to back: counters sum, clocks add, and recorded conflict
+    /// events concatenate.
     pub fn merge(&mut self, other: &ThreadStats) {
         self.hw_commits += other.hw_commits;
         self.irrevocable_commits += other.irrevocable_commits;
@@ -236,7 +234,6 @@ impl ThreadStats {
         self.watchdog_trips += other.watchdog_trips;
         self.degraded_commits += other.degraded_commits;
         self.degraded_cycles += other.degraded_cycles;
-        self.footprints.extend_from_slice(&other.footprints);
         self.conflicts.extend_from_slice(&other.conflicts);
         self.latency.merge(&other.latency);
     }
@@ -479,11 +476,6 @@ impl RunStats {
             h.merge(&t.latency);
         }
         h
-    }
-
-    /// All recorded footprints, concatenated across threads.
-    pub fn footprints(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.threads.iter().flat_map(|t| t.footprints.iter().copied())
     }
 
     /// All attributed conflict events, concatenated across threads
@@ -769,16 +761,5 @@ mod tests {
         ta.merge(&tb);
         let s = RunStats::new(vec![ta, ThreadStats { latency: c, ..Default::default() }]);
         assert_eq!(s.latency(), ab_c);
-    }
-
-    #[test]
-    fn footprints_concatenate() {
-        let mut a = ThreadStats::default();
-        a.footprints.push((1, 2));
-        let mut b = ThreadStats::default();
-        b.footprints.push((3, 4));
-        let s = RunStats::new(vec![a, b]);
-        let fp: Vec<_> = s.footprints().collect();
-        assert_eq!(fp, vec![(1, 2), (3, 4)]);
     }
 }

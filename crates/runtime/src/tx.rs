@@ -11,7 +11,7 @@
 //! * maintains the read/write line sets and the private write buffer,
 //! * consults the platform's capacity [`Tracker`], prefetcher and
 //!   speculation-ID pool,
-//! * charges simulated cycles per the platform [`CostModel`],
+//! * charges simulated cycles per the platform [`CostModel`](htm_core::CostModel),
 //! * implements POWER8 suspend/resume and rollback-only transactions and
 //!   zEC12 constrained-transaction limit checking.
 
@@ -142,7 +142,7 @@ pub struct TxnEngine {
     /// which case no injection code beyond this `Option` check runs.
     faults: Option<FaultState>,
     /// Forced-yield cadence in simulated cycles (see
-    /// `SimConfig::yield_interval`); 0 = never.
+    /// `executor::YIELD_INTERVAL`); 0 = never.
     yield_interval: u32,
     next_yield_at: std::cell::Cell<u64>,
     yield_rng: std::cell::Cell<u64>,
@@ -150,7 +150,6 @@ pub struct TxnEngine {
     /// once all workers have registered on their cores).
     smt_slowdown: std::cell::Cell<Option<f64>>,
     charge_frac: std::cell::Cell<f64>,
-    trace_footprints: bool,
     /// Decorrelated scheduling RNG: retry backoff, jitter and the zEC12
     /// restriction draw come from here so the *workload* RNG stream depends
     /// only on body executions (a prerequisite for record/replay).
@@ -218,7 +217,6 @@ impl TxnEngine {
         mode: ExecMode,
         policy: ConflictPolicy,
         seed: u64,
-        trace_footprints: bool,
         yield_interval: u32,
         faults: Option<FaultState>,
     ) -> TxnEngine {
@@ -257,7 +255,6 @@ impl TxnEngine {
             yield_rng: std::cell::Cell::new(seed | 1),
             smt_slowdown: std::cell::Cell::new(None),
             charge_frac: std::cell::Cell::new(0.0),
-            trace_footprints,
             sched_rng: SmallRng::seed_from_u64(
                 seed ^ (0xA5A5_5A5A_C3C3_3C3Du64.wrapping_mul(thread_id as u64 + 1)),
             ),
@@ -652,18 +649,6 @@ impl TxnEngine {
             h.get_mut().commit_tx();
         }
         self.flush(tier != ExecTier::Stm);
-        if self.trace_footprints {
-            let footprint = if tier == ExecTier::Stm {
-                let rl: HashSet<LineId> =
-                    self.soft_log.entries().iter().map(|&(a, _)| self.mem.line_of(a)).collect();
-                let wl: HashSet<LineId> =
-                    self.write_buf.keys().map(|&a| self.mem.line_of(a)).collect();
-                (rl.len() as u32, wl.len() as u32)
-            } else {
-                (self.tracker.load_lines() as u32, self.tracker.store_lines() as u32)
-            };
-            self.stats.footprints.push(footprint);
-        }
         if tier != ExecTier::Stm {
             self.release_lines();
             self.mem.finish_slot(self.slot);
@@ -940,11 +925,6 @@ impl TxnEngine {
             c.get_mut().commit_irrevocable(seq);
         }
         self.stats.irrevocable_commits += 1;
-        if self.trace_footprints {
-            self.stats
-                .footprints
-                .push((self.read_lines.len() as u32, self.write_lines.len() as u32));
-        }
         self.epoch_bump(); // even again: the section's writes are published
         self.state = BlockState::Idle;
     }
@@ -1029,7 +1009,7 @@ impl TxnEngine {
     /// *simulated* cycles, so a worker's real-time presence (and hence its
     /// conflict exposure) is proportional to its simulated duration — a
     /// transaction that costs 10× the cycles stays in flight 10× as long
-    /// (see `SimConfig::yield_interval`).
+    /// (see `executor::YIELD_INTERVAL`).
     /// Charges `cycles` of execution time, scaled by the SMT co-residency
     /// slowdown: `n` threads sharing a core deliver `1 + (n-1)*eff` times
     /// one thread's throughput, so each runs `n / (1 + (n-1)*eff)` slower.
@@ -1112,9 +1092,6 @@ impl TxnEngine {
             }
             BlockState::Irrevocable => {
                 self.clock.tick(cfg_cost.load);
-                if self.trace_footprints {
-                    self.read_lines.insert(self.mem.line_of(addr));
-                }
                 let value = self.mem.nontx_load(Some(self.slot), addr);
                 if let Some(c) = &mut self.cert {
                     c.get_mut().on_irr_read(addr, value);
@@ -1235,9 +1212,6 @@ impl TxnEngine {
             }
             BlockState::Irrevocable => {
                 self.clock.tick(cost.store);
-                if self.trace_footprints {
-                    self.write_lines.insert(self.mem.line_of(addr));
-                }
                 self.mem.nontx_store(Some(self.slot), addr, value);
                 if let Some(c) = &mut self.cert {
                     c.get_mut().on_irr_write(addr, value);
@@ -1626,19 +1600,7 @@ mod tests {
         let mem = Arc::new(TxMemory::new(1 << 16, Geometry::new(cfg.granularity)));
         let machine = Arc::new(Machine::new(cfg));
         let alloc = ThreadAlloc::new(Arc::new(SimAlloc::new(1, 1 << 16)));
-        TxnEngine::new(
-            mem,
-            machine,
-            alloc,
-            0,
-            1,
-            mode,
-            ConflictPolicy::RequesterWins,
-            42,
-            false,
-            0,
-            None,
-        )
+        TxnEngine::new(mem, machine, alloc, 0, 1, mode, ConflictPolicy::RequesterWins, 42, 0, None)
     }
 
     #[test]
@@ -1740,7 +1702,6 @@ mod tests {
             ExecMode::Hardware,
             ConflictPolicy::RequesterWins,
             1,
-            false,
             0,
             None,
         );
@@ -1753,7 +1714,6 @@ mod tests {
             ExecMode::Hardware,
             ConflictPolicy::RequesterWins,
             2,
-            false,
             0,
             None,
         );
@@ -1823,7 +1783,6 @@ mod tests {
                 ExecMode::Hardware,
                 ConflictPolicy::RequesterWins,
                 7,
-                false,
                 0,
                 None,
             )
@@ -1948,7 +1907,6 @@ mod tests {
             ExecMode::Hardware,
             ConflictPolicy::RequesterWins,
             42,
-            false,
             0,
             faults,
         )
