@@ -49,7 +49,7 @@ pub enum FallbackPolicy {
     /// execution, value-based validation, commit under the sequence lock.
     Stm,
     /// POWER8 rollback-only transactions with software read validation; on
-    /// platforms without rollback-only support this degrades to [`Lock`].
+    /// platforms without rollback-only support this degrades to [`Lock`](Self::Lock).
     Rot,
     /// The `htm-adapt` online contention manager: every block picks its
     /// own tier (hardware → capacity-spilled hardware → rollback-only →

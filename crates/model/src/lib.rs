@@ -12,12 +12,12 @@
 //!
 //! The pieces:
 //!
-//! * [`sched`] — the [`Controller`](sched::Controller): one-runnable-thread
+//! * [`sched`] — the [`Controller`]: one-runnable-thread
 //!   cooperative scheduling with forced-prefix replay, per-step access
 //!   footprints, and deadlock/starvation verdicts;
 //! * [`kernel`] — loop-free multi-threaded micro-programs (2–3 threads,
 //!   2–4 blocks) plus the default suite;
-//! * [`explore`] — the schedule enumerator: naive full branching, DPOR
+//! * [`explore`](mod@explore) — the schedule enumerator: naive full branching, DPOR
 //!   (sleep sets + conflict-driven backtrack sets), and bounded-preemption
 //!   modes, with serializability / opacity / serial-equivalence /
 //!   deadlock checking on every schedule;

@@ -23,7 +23,7 @@
 //! * [`stats`] — speed-ups, abort-ratio breakdowns (Figure 3),
 //!   serialization ratios,
 //! * [`trace`] — the footprint tracer behind Figures 10 and 11,
-//! * [`certify`] — the runtime correctness certifier: committed atomic
+//! * [`certify`](mod@certify) — the runtime correctness certifier: committed atomic
 //!   blocks log their read/write sets and commit order, and a post-run
 //!   sweep checks conflict-serializability and read freshness
 //!   ([`CertifyReport`]),
