@@ -248,7 +248,7 @@ mod tests {
             AbortCause::SpecIdExhausted,
             AbortCause::Explicit(0),
         ];
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = crate::fxhash::FxHashSet::default();
         for c in causes {
             assert_ne!(c.encode(), 0, "0 is reserved for 'not doomed'");
             assert!(seen.insert(c.encode()), "duplicate encoding for {c:?}");

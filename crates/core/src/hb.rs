@@ -24,12 +24,12 @@
 //! misreported as a data race (it is reported separately, by the
 //! false-sharing analyzer in `htm-analyze`).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Mutex;
 
 use crate::abort::AbortCause;
 use crate::addr::{LineId, WordAddr};
+use crate::fxhash::{FxHashMap, FxHashSet};
 
 /// A growable per-thread vector clock.
 ///
@@ -280,14 +280,14 @@ impl fmt::Display for ConflictEvent {
 /// deduplicated by (word, access shape) and capped at [`MAX_RACES`].
 pub fn detect_races(segments: Vec<Segment>, truncated: bool) -> RaceReport {
     // Index: word -> accesses, as (segment index, write, tx).
-    let mut by_word: HashMap<WordAddr, Vec<(u32, bool, bool)>> = HashMap::new();
+    let mut by_word: FxHashMap<WordAddr, Vec<(u32, bool, bool)>> = FxHashMap::default();
     for (si, seg) in segments.iter().enumerate() {
         for a in &seg.accesses {
             by_word.entry(a.addr).or_default().push((si as u32, a.write, a.tx));
         }
     }
 
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = FxHashSet::default();
     let mut races = Vec::new();
     let words_checked = by_word.len();
     'words: for (addr, entries) in &by_word {

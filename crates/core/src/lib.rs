@@ -14,7 +14,8 @@
 //! * [`alloc`] — non-transactional allocation of simulated memory,
 //! * [`abort`] — abort causes and the Figure-3 abort categories,
 //! * [`cost`] — the simulated-cycle cost model and per-thread clock,
-//! * [`hb`] — vector-clock happens-before machinery for the race sanitizer.
+//! * [`hb`] — vector-clock happens-before machinery for the race sanitizer,
+//! * [`fxhash`] — the deterministic hasher of the simulator's footprint maps.
 //!
 //! Higher layers add platform models (`htm-machine`), the transaction engine
 //! and Figure-1 retry mechanism (`htm-runtime`), transactional data
@@ -51,6 +52,7 @@ pub mod alloc;
 pub mod coop;
 pub mod cost;
 pub mod error;
+pub mod fxhash;
 pub mod hb;
 pub mod mem;
 pub mod verify;

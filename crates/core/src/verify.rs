@@ -321,13 +321,13 @@ pub fn check_opacity(
     init: &[(WordAddr, u64)],
     truncated: bool,
 ) -> OpacityReport {
-    use std::collections::HashMap;
+    use crate::fxhash::FxHashMap;
     // Committed version history per address, in serialization order. Events
     // already carry unique seqs; a stable sort keeps the sweep deterministic.
     let mut order: Vec<&TxEvent> = events.iter().collect();
     order.sort_by_key(|e| e.seq);
-    let mut versions: HashMap<u32, Vec<(u64, u64)>> = HashMap::new();
-    let mut init_map: HashMap<u32, u64> = init.iter().map(|&(a, v)| (a.0, v)).collect();
+    let mut versions: FxHashMap<u32, Vec<(u64, u64)>> = FxHashMap::default();
+    let mut init_map: FxHashMap<u32, u64> = init.iter().map(|&(a, v)| (a.0, v)).collect();
     for e in &order {
         for &(addr, value) in &e.writes {
             versions.entry(addr.0).or_default().push((e.seq, value));

@@ -33,9 +33,9 @@
 
 pub mod adapt;
 
-use std::collections::HashMap;
 use std::fmt;
 
+use htm_core::fxhash::FxHashMap;
 use htm_core::WordAddr;
 
 /// What the retry mechanism falls back to when its retry counters are
@@ -153,7 +153,7 @@ pub const STM_MAX_ACCESSES: u32 = 1 << 20;
 #[derive(Debug, Default)]
 pub struct SoftLog {
     entries: Vec<(WordAddr, u64)>,
-    index: HashMap<WordAddr, u64>,
+    index: FxHashMap<WordAddr, u64>,
 }
 
 impl SoftLog {

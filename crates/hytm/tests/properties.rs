@@ -14,8 +14,7 @@
 //!    doom that hardware transaction (the subscription protocol); if it
 //!    did not, the mixed workload below would lose updates.
 
-use std::collections::HashMap;
-
+use htm_core::fxhash::FxHashMap;
 use htm_core::WordAddr;
 use htm_hytm::adapt::{AdaptSignal, AdaptiveController, Tier, BACKOFF_CAP, OBSERVATION_WINDOW};
 use htm_hytm::{FallbackPolicy, SoftLog};
@@ -75,7 +74,7 @@ proptest! {
         pairs in proptest::collection::vec((0u32..16, 0u64..100), 1..32),
     ) {
         let mut log = SoftLog::new();
-        let mut first: HashMap<u32, u64> = HashMap::new();
+        let mut first: FxHashMap<u32, u64> = FxHashMap::default();
         for &(slot, v) in &pairs {
             let got = log.record(WordAddr(slot * 8), v);
             let want = *first.entry(slot).or_insert(v);

@@ -9,8 +9,7 @@
 //! transaction engine resets it at `tbegin` (with the current SMT share) and
 //! consults it on the first access to every line.
 
-use std::collections::HashMap;
-
+use htm_core::fxhash::{FxHashMap, FxHashSet};
 use htm_core::{AbortCause, LineId};
 
 /// Declarative description of a platform's capacity structure.
@@ -99,8 +98,8 @@ impl TrackerKind {
         store_lines: &[LineId],
     ) -> Option<AbortCause> {
         let share = share.max(1);
-        let loads: std::collections::HashSet<LineId> = load_lines.iter().copied().collect();
-        let stores: std::collections::HashSet<LineId> = store_lines.iter().copied().collect();
+        let loads: FxHashSet<LineId> = load_lines.iter().copied().collect();
+        let stores: FxHashSet<LineId> = store_lines.iter().copied().collect();
         let union = loads.union(&stores).count() as u64;
         match *self {
             TrackerKind::SetAssoc {
@@ -119,7 +118,7 @@ impl TrackerKind {
                 }
                 if store_set_assoc {
                     let n_sets = l1_bytes / (line_bytes * ways);
-                    let mut occupancy: HashMap<u32, u32> = HashMap::new();
+                    let mut occupancy: FxHashMap<u32, u32> = FxHashMap::default();
                     for l in &stores {
                         let occ = occupancy.entry(l.0 % n_sets).or_insert(0);
                         *occ += 1;
@@ -168,7 +167,7 @@ pub struct Tracker {
     load_lines: u64,
     store_lines: u64,
     union_lines: u64,
-    store_sets: HashMap<u32, u32>,
+    store_sets: FxHashMap<u32, u32>,
 }
 
 impl Tracker {
@@ -180,7 +179,7 @@ impl Tracker {
             load_lines: 0,
             store_lines: 0,
             union_lines: 0,
-            store_sets: HashMap::new(),
+            store_sets: FxHashMap::default(),
         }
     }
 
@@ -488,8 +487,8 @@ mod proptests {
     ) -> Option<AbortCause> {
         let mut t = Tracker::new(kind);
         t.begin(share);
-        let mut read = std::collections::HashSet::new();
-        let mut written = std::collections::HashSet::new();
+        let mut read = FxHashSet::default();
+        let mut written = FxHashSet::default();
         for &(line, is_store) in accesses {
             if is_store {
                 if written.insert(line) {

@@ -41,8 +41,7 @@
 //! hazard on the hardware). The STAMP port never mixes the two on shared
 //! data, and neither should certified workloads.
 
-use std::collections::{HashMap, HashSet};
-
+use htm_core::fxhash::{FxHashMap, FxHashSet};
 use htm_core::{AbortedAttempt, CertifyReport, EventKind, TxEvent, Violation, WordAddr};
 
 /// Per-thread bound on recorded events; past it the log drops events and
@@ -58,8 +57,8 @@ pub(crate) struct CertCapture {
     events: Vec<TxEvent>,
     truncated: bool,
     reads: Vec<(WordAddr, u64)>,
-    read_addrs: HashSet<WordAddr>,
-    irr_writes: HashMap<WordAddr, u64>,
+    read_addrs: FxHashSet<WordAddr>,
+    irr_writes: FxHashMap<WordAddr, u64>,
     aborted: Vec<AbortedAttempt>,
 }
 
@@ -70,8 +69,8 @@ impl CertCapture {
             events: Vec::new(),
             truncated: false,
             reads: Vec::new(),
-            read_addrs: HashSet::new(),
-            irr_writes: HashMap::new(),
+            read_addrs: FxHashSet::default(),
+            irr_writes: FxHashMap::default(),
             aborted: Vec::new(),
         }
     }
@@ -123,7 +122,7 @@ impl CertCapture {
 
     /// Emits the event for a committed hardware transaction. `write_buf` is
     /// the buffered store set about to be flushed.
-    pub(crate) fn commit_hw(&mut self, seq: u64, rot: bool, write_buf: &HashMap<WordAddr, u64>) {
+    pub(crate) fn commit_hw(&mut self, seq: u64, rot: bool, write_buf: &FxHashMap<WordAddr, u64>) {
         let mut writes: Vec<(WordAddr, u64)> = write_buf.iter().map(|(&a, &v)| (a, v)).collect();
         writes.sort_unstable_by_key(|&(a, _)| a);
         if writes.len() > MAX_ACCESSES_PER_EVENT {
@@ -137,7 +136,7 @@ impl CertCapture {
     /// software-validated ROT-tier transaction. The committer holds the
     /// sequence lock at `seq`, its read log just revalidated, so the full
     /// read check applies ([`EventKind::Software`]).
-    pub(crate) fn commit_soft(&mut self, seq: u64, write_buf: &HashMap<WordAddr, u64>) {
+    pub(crate) fn commit_soft(&mut self, seq: u64, write_buf: &FxHashMap<WordAddr, u64>) {
         let mut writes: Vec<(WordAddr, u64)> = write_buf.iter().map(|(&a, &v)| (a, v)).collect();
         writes.sort_unstable_by_key(|&(a, _)| a);
         if writes.len() > MAX_ACCESSES_PER_EVENT {
@@ -212,8 +211,8 @@ struct AddrState {
 pub fn certify(mut events: Vec<TxEvent>, truncated: bool, lock_acquisitions: u64) -> CertifyReport {
     events.sort_by_key(|e| e.seq);
     let n = events.len();
-    let mut addrs: HashMap<WordAddr, AddrState> = HashMap::new();
-    let mut edges: HashSet<(usize, usize)> = HashSet::new();
+    let mut addrs: FxHashMap<WordAddr, AddrState> = FxHashMap::default();
+    let mut edges: FxHashSet<(usize, usize)> = FxHashSet::default();
     let mut violations: Vec<Violation> = Vec::new();
 
     for (i, e) in events.iter().enumerate() {
@@ -435,7 +434,7 @@ mod tests {
         let mut c = CertCapture::new(1);
         c.begin_block();
         c.on_read(WordAddr(9), 3);
-        let mut buf = HashMap::new();
+        let mut buf = FxHashMap::default();
         buf.insert(WordAddr(5), 50);
         buf.insert(WordAddr(2), 20);
         c.commit_soft(7, &buf);

@@ -13,8 +13,7 @@
 //! [`detect_races`](htm_core::detect_races) post-processes all threads'
 //! segments.
 
-use std::collections::HashSet;
-
+use htm_core::fxhash::FxHashSet;
 use htm_core::{Access, Segment, SyncClock, VectorClock, WordAddr};
 
 /// Bound on segments kept per thread; beyond this the capture reports
@@ -31,9 +30,9 @@ pub(crate) struct HbCapture {
     vc: VectorClock,
     segments: Vec<Segment>,
     cur: Vec<Access>,
-    cur_set: HashSet<Access>,
+    cur_set: FxHashSet<Access>,
     attempt: Vec<(WordAddr, bool)>,
-    attempt_set: HashSet<(WordAddr, bool)>,
+    attempt_set: FxHashSet<(WordAddr, bool)>,
     truncated: bool,
 }
 
@@ -49,9 +48,9 @@ impl HbCapture {
             vc,
             segments: Vec::new(),
             cur: Vec::new(),
-            cur_set: HashSet::new(),
+            cur_set: FxHashSet::default(),
             attempt: Vec::new(),
-            attempt_set: HashSet::new(),
+            attempt_set: FxHashSet::default(),
             truncated: false,
         }
     }

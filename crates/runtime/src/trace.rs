@@ -7,8 +7,7 @@
 //! a sequential execution, it records each atomic block's footprint at
 //! several line granularities simultaneously.
 
-use std::collections::HashSet;
-
+use htm_core::fxhash::FxHashSet;
 use htm_core::{Geometry, WordAddr};
 
 /// One atomic block's footprint: sorted distinct (load-line, store-line) IDs.
@@ -18,8 +17,8 @@ pub type BlockLines = (Vec<u32>, Vec<u32>);
 #[derive(Debug)]
 pub struct SeqTracer {
     geoms: Vec<Geometry>,
-    cur_loads: Vec<HashSet<u32>>,
-    cur_stores: Vec<HashSet<u32>>,
+    cur_loads: Vec<FxHashSet<u32>>,
+    cur_stores: Vec<FxHashSet<u32>>,
     samples: Vec<Vec<(u32, u32)>>,
     line_sets: Option<Vec<Vec<BlockLines>>>,
     in_block: bool,
@@ -36,8 +35,8 @@ impl SeqTracer {
         assert!(!granularities.is_empty(), "tracer needs at least one granularity");
         let geoms: Vec<Geometry> = granularities.iter().map(|&g| Geometry::new(g)).collect();
         SeqTracer {
-            cur_loads: vec![HashSet::new(); geoms.len()],
-            cur_stores: vec![HashSet::new(); geoms.len()],
+            cur_loads: vec![FxHashSet::default(); geoms.len()],
+            cur_stores: vec![FxHashSet::default(); geoms.len()],
             samples: vec![Vec::new(); geoms.len()],
             line_sets: None,
             geoms,

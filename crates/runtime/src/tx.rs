@@ -16,13 +16,13 @@
 //!   zEC12 constrained-transaction limit checking.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use htm_core::fxhash::{FxHashMap, FxHashSet};
 use htm_core::{
     Abort, AbortCause, AbortedAttempt, Clock, ConflictPolicy, EventKind, LineId, Segment, SlotId,
     SyncClock, ThreadAlloc, TxEvent, TxMemory, TxResult, WordAddr,
@@ -109,9 +109,6 @@ enum BlockState {
 struct ConstrainedState {
     accesses_left: u32,
     max_bytes: u32,
-    /// Distinct words touched (the architecture bounds accessed *bytes*,
-    /// not conflict-detection lines).
-    words: std::collections::HashSet<WordAddr>,
 }
 
 /// Per-thread transaction engine.
@@ -130,12 +127,16 @@ pub struct TxnEngine {
     alloc: ThreadAlloc,
     tracker: Tracker,
     prefetcher: Prefetcher,
-    read_lines: HashSet<LineId>,
-    write_lines: HashSet<LineId>,
-    write_buf: HashMap<WordAddr, u64>,
+    read_lines: FxHashSet<LineId>,
+    write_lines: FxHashSet<LineId>,
+    write_buf: FxHashMap<WordAddr, u64>,
     aborted: Option<AbortCause>,
     suspend_depth: u32,
     constrained: Option<ConstrainedState>,
+    /// Distinct words a constrained transaction touched (the architecture
+    /// bounds accessed *bytes*, not conflict-detection lines); cleared at
+    /// each constrained begin, so its allocation is reused.
+    constrained_words: FxHashSet<WordAddr>,
     holds_spec_id: bool,
     pending_frees: Vec<(WordAddr, u32)>,
     /// Fault-injection state; `None` under the empty plan (the default), in
@@ -182,10 +183,10 @@ pub struct TxnEngine {
     /// Lines whose tracking overflowed and was spilled to software this
     /// attempt (their reads are value-logged, their stores buffered in
     /// [`TxnEngine::spill_writes`]).
-    spilled_lines: HashSet<LineId>,
+    spilled_lines: FxHashSet<LineId>,
     /// Buffered stores to spilled (untracked) lines; published with
     /// dooming non-transactional stores inside the commit's epoch window.
-    spill_writes: HashMap<WordAddr, u64>,
+    spill_writes: FxHashMap<WordAddr, u64>,
     /// Shared hybrid-TM write epoch (a seqlock: odd while any committer is
     /// writing back in place). Installed only when the run's fallback
     /// policy is a software tier; `None` keeps the pure-HTM paths
@@ -241,12 +242,13 @@ impl TxnEngine {
             alloc,
             tracker,
             prefetcher,
-            read_lines: HashSet::new(),
-            write_lines: HashSet::new(),
-            write_buf: HashMap::new(),
+            read_lines: FxHashSet::default(),
+            write_lines: FxHashSet::default(),
+            write_buf: FxHashMap::default(),
             aborted: None,
             suspend_depth: 0,
             constrained: None,
+            constrained_words: FxHashSet::default(),
             holds_spec_id: false,
             pending_frees: Vec::new(),
             faults,
@@ -268,8 +270,8 @@ impl TxnEngine {
             soft_log: SoftLog::new(),
             soft_reads: 0,
             soft_epoch_seen: 0,
-            spilled_lines: HashSet::new(),
-            spill_writes: HashMap::new(),
+            spilled_lines: FxHashSet::default(),
+            spill_writes: FxHashMap::default(),
             hybrid_epoch: None,
             stats: ThreadStats::default(),
             tracer: None,
@@ -482,11 +484,8 @@ impl TxnEngine {
                 let lim = cfg
                     .constrained
                     .unwrap_or_else(|| panic!("{} has no constrained transactions", cfg.name));
-                ConstrainedState {
-                    accesses_left: lim.max_accesses,
-                    max_bytes: lim.max_bytes,
-                    words: std::collections::HashSet::new(),
-                }
+                self.constrained_words.clear();
+                ConstrainedState { accesses_left: lim.max_accesses, max_bytes: lim.max_bytes }
             });
             if let Some(pool) = self.machine.spec_ids() {
                 let waited = pool.acquire();
@@ -692,7 +691,7 @@ impl TxnEngine {
         }
     }
 
-    fn publish(&self, stores: &HashMap<WordAddr, u64>, owned: bool) {
+    fn publish(&self, stores: &FxHashMap<WordAddr, u64>, owned: bool) {
         let store = |addr, value| {
             if owned {
                 self.mem.write_word(addr, value);
@@ -701,10 +700,11 @@ impl TxnEngine {
             }
         };
         if htm_core::coop::enabled() {
-            // Model-checked run: flush in address order (HashMap iteration
-            // is per-process random, which would make counterexample
-            // schedules unreplayable across runs) and pause before each
-            // store so torn write-backs are explorable interleavings.
+            // Cooperative run: pause before each store so torn write-backs
+            // are explorable interleavings. The map's iteration order is
+            // deterministic, but the stores still go in address order:
+            // the `WriteBack` pauses follow it, and the pinned svc TSV and
+            // the DPOR schedule counts depend on that order.
             let mut sorted: Vec<(WordAddr, u64)> = stores.iter().map(|(&a, &v)| (a, v)).collect();
             sorted.sort_unstable_by_key(|&(a, _)| a);
             for (addr, value) in sorted {
@@ -1068,8 +1068,8 @@ impl TxnEngine {
         if let Some(c) = &mut self.constrained {
             assert!(c.accesses_left > 0, "constrained transaction exceeded its access limit");
             c.accesses_left -= 1;
-            c.words.insert(addr);
-            let bytes = c.words.len() as u32 * htm_core::WORD_BYTES as u32;
+            self.constrained_words.insert(addr);
+            let bytes = self.constrained_words.len() as u32 * htm_core::WORD_BYTES as u32;
             assert!(
                 bytes <= c.max_bytes,
                 "constrained transaction footprint {bytes} B exceeds limit {} B",
